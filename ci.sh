@@ -11,9 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (hot-path crates, deny redundant clones / index loops)"
+echo "==> cargo clippy (hot-path crates, deny redundant clones / index loops / undocumented unsafe)"
 cargo clippy -p flash-runtime -p flash-core --all-targets -- \
-    -D warnings -D clippy::redundant_clone -D clippy::needless_range_loop
+    -D warnings -D clippy::redundant_clone -D clippy::needless_range_loop \
+    -D clippy::undocumented_unsafe_blocks
 
 echo "==> cargo clippy (obs crate, deny float-precision casts in metrics)"
 cargo clippy -p flash-obs --all-targets -- \
@@ -24,6 +25,9 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+echo "==> cargo test --release (flash-runtime: unsafe worker team without debug_assert!s)"
+cargo test --release -q -p flash-runtime
 
 echo "==> chaos smoke (fault injection + recovery must be exact)"
 cargo run --release -q -p flash-bench --bin fig_chaos -- --smoke

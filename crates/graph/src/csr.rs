@@ -47,6 +47,7 @@ enum MapBufInner {
 // SAFETY: the buffer is read-only after construction; both variants point
 // at memory that is never mutated or freed while the `MapBuf` is alive.
 unsafe impl Send for MapBuf {}
+// SAFETY: as for `Send`: shared references only ever read the buffer.
 unsafe impl Sync for MapBuf {}
 
 impl MapBuf {

@@ -10,7 +10,6 @@ use crate::ctx::WorkerCtx;
 use crate::durable::{DiskWrite, DurableSession, DurableValue, ScrubReport};
 use crate::error::RuntimeError;
 use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultSpec};
-use crate::par::{parallel_ranges, parallel_scratch_chunks};
 use crate::state::{StepBuffers, WorkerState};
 use crate::stats::{ns_u64, us_half_up, RunStats, StepKind, StepStats, StorageInfo};
 use crate::transport::{RoundBatches, ScriptedChannelFault, Transport};
@@ -521,18 +520,13 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Thread count for superstep bookkeeping phases (serialization
-    /// bucketing, the sync fan-out scan): one thread per logical worker
-    /// under the pooled-parallel hot path, matching the
-    /// one-thread-per-worker compute simulation. Serial under
-    /// [`HotPath::FreshSerial`] and under `.sequential()` configs, so
-    /// deterministic-by-construction test setups stay single-threaded.
-    fn hotpath_threads(&self) -> usize {
-        if self.config.hotpath == HotPath::FreshSerial || !self.config.parallel_workers {
-            1
-        } else {
-            self.config.workers
-        }
+    /// Whether the superstep bookkeeping phases (upd-round bucketing, the
+    /// sync fan-out scan) run one task per logical worker on the team, like
+    /// the compute phase. Serial under [`HotPath::FreshSerial`] and under
+    /// `.sequential()` configs, so deterministic-by-construction test
+    /// setups stay single-threaded.
+    fn parallel_phases(&self) -> bool {
+        self.config.parallel_workers && self.config.hotpath == HotPath::PooledParallel
     }
 
     /// Hands out the per-owner updated-master lists: pooled under
@@ -755,35 +749,34 @@ impl<V: VertexData> Cluster<V> {
         (buckets, upd_batches)
     }
 
-    /// Pooled-parallel serialization: each thread drains a contiguous chunk
-    /// of workers into its own (pooled) bucket set, and the sets are merged
-    /// in chunk — i.e. ascending-worker — order.
+    /// Pooled-parallel serialization: each team task drains one worker's
+    /// `pending` map into that worker's (pooled) bucket set, and the sets
+    /// are merged in ascending-worker order.
     ///
     /// The merged bucket order is *bit-identical* to the serial pass: each
     /// worker's `pending` map is drained exactly once by exactly one
-    /// thread, so its internal drain order is unchanged, and concatenating
-    /// per-chunk buckets in chunk order reproduces the serial outer loop's
-    /// front-to-back worker order. Message/byte counters and cross-host
-    /// batch maps are commutative sums, merged in the same order for good
-    /// measure (DESIGN.md §11).
+    /// task, so its internal drain order is unchanged, and concatenating
+    /// per-worker buckets in worker order reproduces the serial outer
+    /// loop's front-to-back worker order. Message/byte counters and
+    /// cross-host batch maps are commutative sums, merged in the same order
+    /// for good measure (DESIGN.md §11).
     fn route_updates_pooled(
         &mut self,
         stats: &mut StepStats,
     ) -> (Vec<Vec<(VertexId, V)>>, RoundBatches) {
         let t1 = Instant::now();
         let m = self.states.len();
+        let parallel = self.parallel_phases();
         let mut buckets = self.buffers.take_buckets(m);
         let mut upd_batches = self.buffers.take_upd_batches();
         let mut bucket_sets = std::mem::take(&mut self.buffers.bucket_sets);
+        bucket_sets.resize_with(m, Vec::new);
         let track_batches = self.transport.is_some();
-        let partition = Arc::clone(&self.partition);
-        let threads = self.hotpath_threads().min(m);
-        let partials = parallel_scratch_chunks(
-            &mut self.states,
-            &mut bucket_sets,
-            threads,
-            Vec::new,
-            |base, chunk, set: &mut Vec<Vec<(VertexId, V)>>| {
+        let partition = &*self.partition;
+        let partials = self.buffers.team.run(
+            parallel,
+            self.states.iter_mut().zip(bucket_sets.iter_mut()),
+            |w, (st, set)| {
                 if set.len() != m {
                     set.resize_with(m, Vec::new);
                 }
@@ -791,29 +784,25 @@ impl<V: VertexData> Cluster<V> {
                 let mut messages = 0u64;
                 let mut bytes_total = 0u64;
                 let mut batches = RoundBatches::new();
-                for (i, st) in chunk.iter_mut().enumerate() {
-                    let sender_host = partition.host_of_worker(base + i);
-                    for (v, temp) in st.pending.drain() {
-                        let owner = partition.owner(v);
-                        let owner_host = partition.host_of_worker(owner);
-                        if owner_host != sender_host {
-                            let bytes = (4 + temp.bytes()) as u64;
-                            messages += 1;
-                            bytes_total += bytes;
-                            if track_batches {
-                                let batch =
-                                    batches.entry((sender_host, owner_host)).or_insert((0, 0));
-                                batch.0 += 1;
-                                batch.1 += bytes;
-                            }
+                let sender_host = partition.host_of_worker(w);
+                for (v, temp) in st.pending.drain() {
+                    let owner = partition.owner(v);
+                    let owner_host = partition.host_of_worker(owner);
+                    if owner_host != sender_host {
+                        let bytes = (4 + temp.bytes()) as u64;
+                        messages += 1;
+                        bytes_total += bytes;
+                        if track_batches {
+                            let batch = batches.entry((sender_host, owner_host)).or_insert((0, 0));
+                            batch.0 += 1;
+                            batch.1 += bytes;
                         }
-                        set[owner].push((v, temp));
                     }
+                    set[owner].push((v, temp));
                 }
                 (messages, bytes_total, batches, t.elapsed())
             },
         );
-        let used_sets = partials.len();
         for (messages, bytes, batches, elapsed) in partials {
             stats.upd_messages += messages;
             stats.upd_bytes += bytes;
@@ -822,18 +811,18 @@ impl<V: VertexData> Cluster<V> {
                 batch.0 += bm;
                 batch.1 += bb;
             }
-            // Simulated makespan of the phase: the slowest thread, the
+            // Simulated makespan of the phase: the slowest task, the
             // analogue of `compute_max` for the compute phase.
             stats.serialize_max = stats.serialize_max.max(elapsed);
         }
-        for set in bucket_sets.iter_mut().take(used_sets) {
+        for set in bucket_sets.iter_mut() {
             for (owner, local) in set.iter_mut().enumerate() {
                 buckets[owner].append(local);
             }
         }
         self.buffers.bucket_sets = bucket_sets;
         stats.serialize = t1.elapsed();
-        if threads == 1 {
+        if !parallel {
             stats.serialize_max = stats.serialize;
         }
         (buckets, upd_batches)
@@ -1746,7 +1735,7 @@ impl<V: VertexData> Cluster<V> {
         });
     }
 
-    /// Executes the compute closure on all workers (in parallel when
+    /// Executes the compute closure on all workers (on the team when
     /// configured), returning their outputs and wall-clock durations in
     /// worker order (the max duration is the BSP makespan of the phase).
     fn run_compute<Out: Send>(
@@ -1756,39 +1745,20 @@ impl<V: VertexData> Cluster<V> {
         let graph = self.graph.as_ref();
         let partition = self.partition.as_ref();
         let threads = self.config.threads_per_worker;
-        let timed = |w: usize, st: &mut WorkerState<V>| -> (Out, Duration) {
-            let t = Instant::now();
-            let mut ctx = WorkerCtx::new(w, graph, partition, st, threads);
-            let out = f(&mut ctx);
-            (out, t.elapsed())
-        };
-        let results: Vec<(Out, Duration)> = if self.config.parallel_workers && self.states.len() > 1
-        {
-            std::thread::scope(|s| {
-                let timed = &timed;
-                let handles: Vec<_> = self
-                    .states
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, st)| s.spawn(move || timed(w, st)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(out) => out,
-                        Err(p) => std::panic::resume_unwind(p),
-                    })
-                    .collect()
-            })
-        } else {
-            self.states
-                .iter_mut()
-                .enumerate()
-                .map(|(w, st)| timed(w, st))
-                .collect()
-        };
-        let (outs, durations) = results.into_iter().unzip();
-        (outs, durations)
+        self.buffers
+            .team
+            .run(
+                self.config.parallel_workers,
+                self.states.iter_mut(),
+                |w, st| {
+                    let t = Instant::now();
+                    let mut ctx = WorkerCtx::new(w, graph, partition, st, threads);
+                    let out = f(&mut ctx);
+                    (out, t.elapsed())
+                },
+            )
+            .into_iter()
+            .unzip()
     }
 
     /// Communication round 2: masters broadcast their new state to mirrors.
@@ -1831,10 +1801,11 @@ impl<V: VertexData> Cluster<V> {
             Vec::new()
         };
 
-        // The parallel scan is charged at its *makespan* (slowest range),
-        // like `serialize_max`: the spawn/idle gap between the scan's wall
-        // time and its slowest range is a single-core simulation artifact
-        // a one-core-per-worker cluster would not pay, so it is deducted
+        // The parallel scan is charged at its *makespan* (slowest task),
+        // like `serialize_max`: the gap between the scan's wall time and
+        // its slowest task — handing the phase to the parked helpers and
+        // waiting for the last one to report — is a simulation artifact a
+        // one-core-per-worker cluster would not pay, so it is deducted
         // from the communicate phase.
         let mut scan_overhead = Duration::ZERO;
         {
@@ -1897,19 +1868,18 @@ impl<V: VertexData> Cluster<V> {
                 }
                 (messages, bytes_total)
             };
-            let threads = self.hotpath_threads().min(m);
-            if threads <= 1 {
+            if !self.parallel_phases() {
                 let (messages, bytes) = scan(0, m, &mut host_buf, &mut sync_batches);
                 stats.sync_messages += messages;
                 stats.sync_bytes += bytes;
             } else {
                 let scan_wall = Instant::now();
-                let partials = parallel_ranges(m, threads, |lo, hi| {
-                    let range_timer = Instant::now();
+                let partials = self.buffers.team.run(true, 0..m, |_, w| {
+                    let task_timer = Instant::now();
                     let mut local_hosts = Vec::new();
                     let mut local_batches = RoundBatches::new();
-                    let counts = scan(lo, hi, &mut local_hosts, &mut local_batches);
-                    (counts, local_batches, range_timer.elapsed())
+                    let counts = scan(w, w + 1, &mut local_hosts, &mut local_batches);
+                    (counts, local_batches, task_timer.elapsed())
                 });
                 let mut scan_max = Duration::ZERO;
                 for ((messages, bytes), batches, elapsed) in partials {
@@ -1925,8 +1895,8 @@ impl<V: VertexData> Cluster<V> {
                 scan_overhead = scan_wall.elapsed().saturating_sub(scan_max);
             }
         }
-        // Scan time as charged: wall so far minus the single-core
-        // thread-spawn artifact, exactly what `communicate` will include.
+        // Scan time as charged: wall so far minus the handoff artifact,
+        // exactly what `communicate` will include.
         let scan_charged = t.elapsed().saturating_sub(scan_overhead);
         let commit_timer = Instant::now();
 
@@ -2289,28 +2259,35 @@ mod tests {
         assert_eq!(s.total_messages(), 0);
     }
 
+    /// Four workers oversubscribe a two-core host; the team's ascending
+    /// merge order keeps every value and counter equal to the serial run,
+    /// which never touches a helper thread.
     #[test]
     fn parallel_workers_match_sequential() {
-        let g = Arc::new(generators::erdos_renyi(64, 200, 3));
-        let p = Arc::new(PartitionMap::build(&g, 4, &HashPartitioner).unwrap());
-        let reduce = |t: &Val, acc: &mut Val| acc.x = acc.x.max(t.x);
         let run = |parallel: bool| {
             let mut cfg = ClusterConfig::with_workers(4).mode(ModePolicy::Adaptive);
             cfg.parallel_workers = parallel;
-            let mut c =
-                Cluster::new(Arc::clone(&g), Arc::clone(&p), cfg, |v| Val { x: v as u64 }).unwrap();
-            // Propagate max neighbor id to each vertex (one push round).
-            c.step_reduce(64, SyncScope::Necessary, reduce, |ctx| {
-                for &v in ctx.masters() {
-                    let val = ctx.get(v).clone();
-                    for &d in ctx.graph().out_neighbors(v) {
-                        ctx.put(d, val.clone(), &reduce);
-                    }
-                }
-            });
-            c.collect(|_, val| val.x)
+            let mut c = team_cluster(4, cfg);
+            for _ in 0..8 {
+                push_max(&mut c);
+            }
+            let counters: Vec<(u64, u64, u64, u64)> = c
+                .stats()
+                .steps()
+                .iter()
+                .map(|s| (s.upd_messages, s.upd_bytes, s.sync_messages, s.sync_bytes))
+                .collect();
+            (
+                c.collect(|_, val| val.x),
+                counters,
+                c.buffers.team.spawned(),
+            )
         };
-        assert_eq!(run(false), run(true));
+        let (par_vals, par_counters, par_spawned) = run(true);
+        let (seq_vals, seq_counters, seq_spawned) = run(false);
+        assert_eq!(par_vals, seq_vals);
+        assert_eq!(par_counters, seq_counters);
+        assert_eq!((par_spawned, seq_spawned), (3, 0));
     }
 
     /// The hot-path contract: the pooled-parallel route (buffer reuse +
@@ -2344,6 +2321,117 @@ mod tests {
             (c.collect(|_, val| val.x), counters)
         };
         assert_eq!(run(HotPath::PooledParallel), run(HotPath::FreshSerial));
+    }
+
+    /// Pushes each vertex's value to its out-neighbors under a max reduce:
+    /// one upd round plus one sync round, with cross-worker traffic.
+    fn push_max(c: &mut Cluster<Val>) -> StepOutput<()> {
+        let reduce = |t: &Val, acc: &mut Val| acc.x = acc.x.max(t.x);
+        c.step_reduce(0, SyncScope::Necessary, reduce, |ctx| {
+            for &v in ctx.masters() {
+                let val = ctx.get(v).clone();
+                for &d in ctx.graph().out_neighbors(v) {
+                    ctx.put(d, val.clone(), &reduce);
+                }
+            }
+        })
+    }
+
+    fn team_cluster(workers: usize, cfg: ClusterConfig) -> Cluster<Val> {
+        let g = Arc::new(generators::erdos_renyi(64, 200, 5));
+        let p = Arc::new(PartitionMap::build(&g, workers, &HashPartitioner).unwrap());
+        Cluster::new(g, p, cfg, |v| Val { x: v as u64 }).unwrap()
+    }
+
+    #[test]
+    fn long_two_worker_run_spawns_one_helper() {
+        let mut c = team_cluster(2, ClusterConfig::with_workers(2));
+        for _ in 0..60 {
+            push_max(&mut c);
+            c.step_direct(StepKind::VertexMap, 64, SyncScope::Necessary, |_| ());
+        }
+        assert_eq!(c.stats().num_supersteps(), 120);
+        assert_eq!(c.buffers.team.spawned(), 1, "one parked helper, reused");
+    }
+
+    #[test]
+    fn helper_compute_panic_reaches_the_caller() {
+        let mut c = team_cluster(2, ClusterConfig::with_workers(2));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.step_direct(StepKind::VertexMap, 0, SyncScope::Necessary, |ctx| {
+                if ctx.worker() == 1 {
+                    panic!("worker 1 boom");
+                }
+            })
+        }));
+        let payload = caught.expect_err("worker 1's panic is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 boom"));
+        // The team is still usable: the next superstep runs on the same
+        // helper and computes the right answer.
+        let out = c.step_direct(StepKind::VertexMap, 0, SyncScope::Necessary, |ctx| {
+            ctx.worker()
+        });
+        assert_eq!(out.per_worker, vec![0, 1]);
+        assert_eq!(c.buffers.team.spawned(), 1);
+        drop(c); // joins the parked helper
+    }
+
+    #[test]
+    fn task0_compute_panic_unwinds_only_after_the_helper_finishes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let mut c = team_cluster(2, ClusterConfig::with_workers(2));
+        let both_computing = std::sync::Barrier::new(2);
+        let worker0_panicking = AtomicBool::new(false);
+        let worker1_done = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.step_direct(StepKind::VertexMap, 0, SyncScope::Necessary, |ctx| {
+                both_computing.wait();
+                if ctx.worker() == 0 {
+                    worker0_panicking.store(true, Ordering::SeqCst);
+                    panic!("worker 0 boom");
+                }
+                while !worker0_panicking.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                worker1_done.store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("worker 0's panic is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 0 boom"));
+        assert!(
+            worker1_done.load(Ordering::SeqCst),
+            "the caller unwound while worker 1 was still computing"
+        );
+        let out = c.step_direct(StepKind::VertexMap, 0, SyncScope::Necessary, |ctx| {
+            ctx.worker() * 10
+        });
+        assert_eq!(out.per_worker, vec![0, 10]);
+        drop(c); // joins the parked helper
+    }
+
+    #[test]
+    fn session_queries_share_one_team_helper() {
+        let g = Arc::new(generators::erdos_renyi(64, 200, 5));
+        let session =
+            crate::session::Session::new(1, Arc::clone(&g), ClusterConfig::with_workers(2))
+                .unwrap();
+        for _ in 0..32 {
+            let mut c = Cluster::new(
+                Arc::clone(&g),
+                Arc::clone(session.partition()),
+                session.config(),
+                |v| Val { x: v as u64 },
+            )
+            .unwrap();
+            push_max(&mut c);
+        }
+        let buffers: StepBuffers<Val> = session.pool().checkout();
+        assert_eq!(
+            session.pool().reuses(),
+            32,
+            "every query after the first reused"
+        );
+        assert_eq!(buffers.team.spawned(), 1, "32 queries, one helper in total");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Because this reproduction has no MPI cluster, FLASHWARE here drives a
 //! **simulated cluster**: each worker is an independent state partition
-//! executed on its own OS thread during a superstep, and all inter-worker
-//! traffic flows through explicit, byte-counted message buffers exchanged
-//! at BSP barriers. Every architectural element of the paper exists:
+//! executed as its own task on a persistent worker team during a
+//! superstep (the calling thread runs worker 0, parked helper threads the
+//! rest; DESIGN.md §11), and all inter-worker traffic flows through
+//! explicit, byte-counted message buffers exchanged at BSP barriers. Every architectural element of the paper exists:
 //!
 //! * **masters and mirrors** — every worker holds a full `current` replica
 //!   of the vertex-state array; the slots it owns are masters, the rest

@@ -1,4 +1,4 @@
-//! Intra-worker parallelism helper.
+//! Parallelism helpers: intra-worker chunks and the persistent worker team.
 //!
 //! The paper's workers each drive a pool of threads performing "parallel
 //! vertex-centric processing" (§IV-C, Fig. 4b varies this pool from 1 to 32
@@ -8,6 +8,16 @@
 //! [`crate::WorkerCtx`] — keeping update application race-free without
 //! atomics, which is exactly the discipline FLASH imposes on distributed
 //! updates (reduce functions instead of compare-and-swap).
+//!
+//! One level up, the cluster runs its logical workers on a persistent
+//! `Team`: each superstep phase (compute, upd-round bucketing, the
+//! mirror-sync scan) hands one task per worker to helper threads that stay
+//! parked between phases, instead of spawning a thread per worker.
+
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Maps contiguous chunks of `items` on up to `threads` threads, returning
 /// the per-chunk outputs in order. With `threads <= 1` (or one-element
@@ -34,84 +44,224 @@ pub fn parallel_chunks<T: Sync, Out: Send>(
     })
 }
 
-/// Like [`parallel_chunks`] but over *mutable* chunks, with one reusable
-/// scratch slot per thread.
+/// A persistent team of helper threads that runs one task per logical
+/// worker at every superstep phase (DESIGN.md §11).
 ///
-/// Each thread receives the starting index of its chunk (`base`), the
-/// mutable chunk itself, and exclusive access to `scratch[i]` for chunk
-/// `i`. Missing scratch slots are created with `new_scratch`; existing
-/// slots are handed back untouched, so callers can pool per-thread buffers
-/// across invocations (clear-don't-drop). Outputs come back in chunk
-/// order, which makes a deterministic merge trivial: concatenating the
-/// per-chunk results in output order reproduces exactly what one thread
-/// walking `items` front to back would have produced.
-pub fn parallel_scratch_chunks<T: Send, S: Send, Out: Send>(
-    items: &mut [T],
-    scratch: &mut Vec<S>,
-    threads: usize,
-    new_scratch: impl Fn() -> S,
-    f: impl Fn(usize, &mut [T], &mut S) -> Out + Sync,
-) -> Vec<Out> {
-    let threads = threads.max(1).min(items.len().max(1));
-    let chunk = items.len().div_ceil(threads).max(1);
-    let n_chunks = items.len().div_ceil(chunk).max(1);
-    while scratch.len() < n_chunks {
-        scratch.push(new_scratch());
-    }
-    if threads == 1 {
-        return vec![f(0, items, &mut scratch[0])];
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .zip(scratch.iter_mut())
-            .enumerate()
-            .map(|(i, (c, slot))| s.spawn(move || f(i * chunk, c, slot)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    })
+/// The team keeps `m − 1` helpers parked on a condition variable between
+/// phases; the calling thread runs task 0 itself, so a phase over `m`
+/// workers costs one handoff instead of `m` thread spawns and joins.
+/// Helpers are spawned lazily, the first time a phase needs them, and
+/// live until the team is dropped, which joins them.
+///
+/// **Handoff.** [`Team::run`] publishes the phase's job under a new
+/// *generation* number and wakes the helpers; helper `i` runs task `i + 1`
+/// of that generation and reports done. The caller runs task 0, then waits
+/// until every helper has reported before it returns or re-raises a
+/// panic. Outputs come back in ascending task order, so a caller that
+/// merges them in output order reproduces a single thread walking the
+/// workers front to back.
+pub(crate) struct Team {
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+    /// Helper threads spawned over the team's lifetime.
+    spawned: usize,
 }
 
-/// Like [`parallel_chunks`] but for an index range, passing each thread the
-/// sub-range `(start, end)`.
-pub fn parallel_ranges<Out: Send>(
-    len: usize,
-    threads: usize,
-    f: impl Fn(usize, usize) -> Out + Sync,
-) -> Vec<Out> {
-    let threads = threads.max(1).min(len.max(1));
-    if threads == 1 {
-        return vec![f(0, len)];
+/// The job of one generation: runs task `i` when called with `i`.
+type Job = &'static (dyn Fn(usize) + Sync);
+
+struct Shared {
+    handoff: Mutex<Handoff>,
+    /// Signalled when a new generation is published or the team shuts down.
+    start: Condvar,
+    /// Signalled when the last helper of a generation reports done.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct Handoff {
+    generation: u64,
+    /// The current generation's job; `None` outside [`Team::run`].
+    job: Option<Job>,
+    /// Tasks in the current generation, task 0 (the caller's) included.
+    tasks: usize,
+    /// Helpers of the current generation that have not reported done.
+    running: usize,
+    /// The lowest-numbered helper task that panicked, with its payload.
+    panic: Option<(usize, Box<dyn Any + Send>)>,
+    shutdown: bool,
+}
+
+fn lock(m: &Mutex<Handoff>) -> MutexGuard<'_, Handoff> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Team {
+    /// A team with no helpers yet.
+    pub(crate) fn new() -> Team {
+        Team {
+            shared: Arc::new(Shared {
+                handoff: Mutex::new(Handoff::default()),
+                start: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            helpers: Vec::new(),
+            spawned: 0,
+        }
     }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        // `t * chunk` can exceed `len` when it is not divisible by
-        // `threads` (e.g. len=5, threads=4 → chunk=2 → t=3 starts at 6):
-        // clamp and skip the resulting empty tail ranges instead of
-        // handing a callback an inverted out-of-bounds range.
-        let handles: Vec<_> = (0..threads)
-            .filter_map(|t| {
-                let lo = (t * chunk).min(len);
-                let hi = ((t + 1) * chunk).min(len);
-                (lo < hi).then(|| s.spawn(move || f(lo, hi)))
-            })
-            .collect();
-        handles
+
+    /// Helper threads spawned over the team's lifetime.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self) -> usize {
+        self.spawned
+    }
+
+    /// Runs `f(i, item)` for the `i`-th item and returns the outputs in
+    /// item order.
+    ///
+    /// With `parallel`, item 0 runs on the calling thread and item `i` on
+    /// helper `i − 1`; otherwise, or with fewer than two items, every item
+    /// runs on the calling thread in order and no helper is touched. A
+    /// panicking task does not cut the phase short: the panic is re-raised
+    /// on the caller once every task has finished, task 0's first, else
+    /// the lowest-numbered helper's.
+    pub(crate) fn run<T: Send, Out: Send>(
+        &mut self,
+        parallel: bool,
+        items: impl ExactSizeIterator<Item = T>,
+        f: impl Fn(usize, T) -> Out + Sync,
+    ) -> Vec<Out> {
+        if !parallel || items.len() < 2 {
+            return items.enumerate().map(|(i, item)| f(i, item)).collect();
+        }
+        // One cell per task: its input until the task takes it, then its
+        // output. Each cell is touched only by its own task while the
+        // phase runs, and never locked across `f`, so the locks are
+        // neither contended nor poisoned.
+        let cells: Vec<Mutex<(Option<T>, Option<Out>)>> =
+            items.map(|item| Mutex::new((Some(item), None))).collect();
+        let cell = |i: usize| cells[i].lock().unwrap_or_else(PoisonError::into_inner);
+        self.dispatch(cells.len(), &|i| {
+            let item = cell(i).0.take();
+            if let Some(item) = item {
+                let out = f(i, item);
+                cell(i).1 = Some(out);
+            }
+        });
+        cells
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(p) => std::panic::resume_unwind(p),
-            })
+            .filter_map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner).1)
             .collect()
-    })
+    }
+
+    /// Runs `job(0)` on the calling thread and `job(i)` on helper `i − 1`
+    /// for every `i < tasks`, returning once all of them have finished.
+    fn dispatch(&mut self, tasks: usize, job: &(dyn Fn(usize) + Sync)) {
+        while self.helpers.len() + 1 < tasks {
+            let shared = Arc::clone(&self.shared);
+            let task = self.helpers.len() + 1;
+            self.helpers.push(
+                std::thread::Builder::new()
+                    .name(format!("flash-worker-{task}"))
+                    .spawn(move || helper_loop(&shared, task))
+                    .expect("failed to spawn a worker-team helper thread"),
+            );
+            self.spawned += 1;
+        }
+        // SAFETY: `job` borrows the caller's stack only for this call, and
+        // the `'static` copy never outlives it. Helpers read `job` out of
+        // the handoff only for the generation published below, and each
+        // of them calls it at most once, inside `catch_unwind`, before
+        // decrementing `running`. This function neither returns nor
+        // unwinds until `running` is back to 0 and `job` is cleared:
+        // task 0 runs inside `catch_unwind`, the wait below cannot panic
+        // (poisoned locks are entered, not unwrapped), and a caught panic
+        // is re-raised only after the wait. So every call through the
+        // erased reference happens while the borrow is still live.
+        let job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync + '_), Job>(job) };
+        {
+            let mut h = lock(&self.shared.handoff);
+            h.generation += 1;
+            h.job = Some(job);
+            h.tasks = tasks;
+            h.running = tasks - 1;
+            h.panic = None;
+        }
+        self.shared.start.notify_all();
+        let own = std::panic::catch_unwind(AssertUnwindSafe(|| job(0)));
+        let mut h = lock(&self.shared.handoff);
+        while h.running > 0 {
+            h = self
+                .shared
+                .done
+                .wait(h)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        h.job = None;
+        let helper_panic = h.panic.take();
+        drop(h);
+        if let Err(payload) = own {
+            std::panic::resume_unwind(payload);
+        }
+        if let Some((_, payload)) = helper_panic {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// A helper's life: park until a generation that includes `task` is
+/// published, run the task, report done, repeat until shutdown.
+fn helper_loop(shared: &Shared, task: usize) {
+    let mut seen = 0;
+    loop {
+        let job = {
+            let mut h = lock(&shared.handoff);
+            while !h.shutdown && h.generation == seen {
+                h = shared.start.wait(h).unwrap_or_else(PoisonError::into_inner);
+            }
+            if h.shutdown {
+                return;
+            }
+            seen = h.generation;
+            match h.job {
+                Some(job) if task < h.tasks => job,
+                _ => continue,
+            }
+        };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| job(task)));
+        let mut h = lock(&shared.handoff);
+        if let Err(payload) = result {
+            if h.panic.as_ref().is_none_or(|(t, _)| task < *t) {
+                h.panic = Some((task, payload));
+            }
+        }
+        h.running -= 1;
+        if h.running == 0 {
+            shared.done.notify_one();
+        }
+    }
+}
+
+impl Drop for Team {
+    /// Wakes every helper with the shutdown flag set and joins it.
+    fn drop(&mut self) {
+        lock(&self.shared.handoff).shutdown = true;
+        self.shared.start.notify_all();
+        for helper in self.helpers.drain(..) {
+            // Helpers catch every task panic, so a join error is
+            // impossible; there is nothing to do with one anyway.
+            let _ = helper.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for Team {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Team")
+            .field("helpers", &self.helpers.len())
+            .field("spawned", &self.spawned)
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -143,138 +293,79 @@ mod tests {
     }
 
     #[test]
-    fn ranges_partition_exactly() {
-        for threads in [1usize, 3, 7] {
-            let outs = parallel_ranges(50, threads, |lo, hi| (lo, hi));
-            let mut expect = 0;
-            for (lo, hi) in outs {
-                assert_eq!(lo, expect);
-                expect = hi;
+    fn team_outputs_come_back_in_task_order() {
+        let mut team = Team::new();
+        for n in [0usize, 1, 2, 3, 8] {
+            for parallel in [false, true] {
+                let outs = team.run(parallel, 0..n, |i, item| {
+                    assert_eq!(i, item, "task i receives item i");
+                    item * 10
+                });
+                assert_eq!(outs, (0..n).map(|i| i * 10).collect::<Vec<_>>());
             }
-            assert_eq!(expect, 50);
         }
+        // Helpers grow to the largest phase seen and are then reused.
+        assert_eq!(team.spawned(), 7);
     }
 
     #[test]
-    fn zero_len_ranges() {
-        let outs = parallel_ranges(0, 8, |lo, hi| hi - lo);
-        assert_eq!(outs, vec![0]);
+    fn team_hands_each_task_exclusive_mutable_items() {
+        let mut team = Team::new();
+        let mut slots = vec![0u64; 4];
+        for round in 1..=100u64 {
+            team.run(true, slots.iter_mut(), |i, slot| *slot += round * i as u64);
+        }
+        assert_eq!(slots, vec![0, 5050, 10100, 15150]);
+        assert_eq!(team.spawned(), 3, "helpers persist across phases");
     }
 
     #[test]
-    fn scratch_chunks_cover_everything_in_order() {
-        for threads in [1usize, 2, 3, 8, 200] {
-            let mut items: Vec<u32> = (0..101).collect();
-            let mut scratch: Vec<Vec<u32>> = Vec::new();
-            let outs = parallel_scratch_chunks(
-                &mut items,
-                &mut scratch,
-                threads,
-                Vec::new,
-                |base, chunk, slot| {
-                    slot.clear();
-                    slot.extend_from_slice(chunk);
-                    for x in chunk.iter_mut() {
-                        *x += 1000;
-                    }
-                    base
-                },
-            );
-            // Bases ascend in chunk order and scratch slots concatenate to
-            // the original input.
-            assert!(outs.windows(2).all(|w| w[0] < w[1]), "threads={threads}");
-            let flat: Vec<u32> = scratch.iter().flatten().copied().collect();
-            assert_eq!(flat, (0..101).collect::<Vec<u32>>(), "threads={threads}");
-            assert!(items.iter().all(|&x| x >= 1000), "chunks were mutable");
-        }
+    fn serial_empty_and_single_task_phases_spawn_nothing() {
+        let mut team = Team::new();
+        let outs = team.run(false, 0..4, |i, _| i);
+        assert_eq!(outs, vec![0, 1, 2, 3]);
+        assert!(team.run(true, 0..0, |i, _| i).is_empty());
+        assert_eq!(
+            team.run(true, 0..1, |i, _| i),
+            vec![0],
+            "one task runs inline"
+        );
+        assert_eq!(team.spawned(), 0);
     }
 
-    /// The determinism contract the pooled-parallel bucketing relies on:
-    /// per-thread bucket sets merged in chunk (= ascending worker) order
+    /// The determinism contract the upd-round bucketing relies on:
+    /// per-task bucket sets merged in task (= ascending worker) order
     /// reproduce the single-threaded bucket order bit for bit.
     #[test]
-    fn scratch_chunks_merged_bucket_order_is_deterministic() {
+    fn team_merged_bucket_order_is_deterministic() {
         const BUCKETS: usize = 7;
+        const WORKERS: usize = 5;
+        let pending = |w: usize| (0..500u32).filter(move |v| *v as usize % WORKERS == w);
         let serial: Vec<Vec<(usize, u32)>> = {
             let mut buckets = vec![Vec::new(); BUCKETS];
-            for v in 0..500u32 {
-                buckets[(v as usize * 31) % BUCKETS].push((v as usize, v));
+            for w in 0..WORKERS {
+                for v in pending(w) {
+                    buckets[(v as usize * 31) % BUCKETS].push((w, v));
+                }
             }
             buckets
         };
-        for threads in [1usize, 2, 3, 5, 16] {
-            let mut items: Vec<u32> = (0..500).collect();
-            let mut scratch: Vec<Vec<Vec<(usize, u32)>>> = Vec::new();
-            parallel_scratch_chunks(
-                &mut items,
-                &mut scratch,
-                threads,
-                Vec::new,
-                |_base, chunk, set: &mut Vec<Vec<(usize, u32)>>| {
-                    set.resize_with(BUCKETS, Vec::new);
-                    for &v in chunk.iter() {
-                        set[(v as usize * 31) % BUCKETS].push((v as usize, v));
-                    }
-                },
-            );
+        let mut team = Team::new();
+        for parallel in [false, true] {
+            let mut sets: Vec<Vec<Vec<(usize, u32)>>> = vec![Vec::new(); WORKERS];
+            team.run(parallel, sets.iter_mut(), |w, set| {
+                set.resize_with(BUCKETS, Vec::new);
+                for v in pending(w) {
+                    set[(v as usize * 31) % BUCKETS].push((w, v));
+                }
+            });
             let mut merged = vec![Vec::new(); BUCKETS];
-            for set in scratch.iter_mut() {
+            for set in sets.iter_mut() {
                 for (b, local) in set.iter_mut().enumerate() {
                     merged[b].append(local);
                 }
             }
-            assert_eq!(merged, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn scratch_slots_are_pooled_across_calls() {
-        let mut items: Vec<u32> = (0..64).collect();
-        let mut scratch: Vec<Vec<u32>> = Vec::new();
-        parallel_scratch_chunks(&mut items, &mut scratch, 4, Vec::new, |_, c, slot| {
-            slot.extend_from_slice(c);
-        });
-        let slots_after_first = scratch.len();
-        assert!(slots_after_first >= 4);
-        let caps: Vec<usize> = scratch.iter().map(Vec::capacity).collect();
-        for slot in scratch.iter_mut() {
-            slot.clear(); // clear-don't-drop keeps the allocation
-        }
-        parallel_scratch_chunks(&mut items, &mut scratch, 4, Vec::new, |_, c, slot| {
-            slot.extend_from_slice(c);
-        });
-        assert_eq!(scratch.len(), slots_after_first, "no new slots allocated");
-        for (slot, cap) in scratch.iter().zip(caps) {
-            assert!(slot.capacity() >= cap, "allocations were reused");
-        }
-    }
-
-    #[test]
-    fn scratch_chunks_empty_input_is_fine() {
-        let mut items: Vec<u32> = vec![];
-        let mut scratch: Vec<Vec<u32>> = Vec::new();
-        let outs = parallel_scratch_chunks(&mut items, &mut scratch, 4, Vec::new, |base, c, _| {
-            (base, c.len())
-        });
-        assert_eq!(outs, vec![(0, 0)]);
-        assert_eq!(scratch.len(), 1);
-    }
-
-    #[test]
-    fn ranges_never_invert_on_any_grid_point() {
-        // Regression: len=5, threads=4 used to produce the inverted
-        // out-of-bounds range (6, 5), which panics on `&items[lo..hi]`.
-        for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 101] {
-            for threads in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 200] {
-                let items: Vec<usize> = (0..len).collect();
-                let outs = parallel_ranges(len, threads, |lo, hi| {
-                    assert!(lo <= hi, "len={len} threads={threads}: ({lo}, {hi})");
-                    assert!(hi <= len, "len={len} threads={threads}: ({lo}, {hi})");
-                    items[lo..hi].to_vec() // must not panic
-                });
-                let flat: Vec<usize> = outs.into_iter().flatten().collect();
-                assert_eq!(flat, items, "len={len} threads={threads}");
-            }
+            assert_eq!(merged, serial, "parallel={parallel}");
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Per-worker vertex state: the current/next split of §IV-A.
 
+use crate::par::Team;
 use crate::transport::RoundBatches;
 use crate::VertexData;
 use flash_graph::VertexId;
@@ -99,8 +100,8 @@ impl<V: VertexData> WorkerState<V> {
 pub(crate) struct StepBuffers<V: VertexData> {
     /// Per-owner routing buckets of the upd round (`step_reduce`).
     buckets: Vec<Vec<(VertexId, V)>>,
-    /// Per-thread bucket sets of the parallel bucketing pass; slot `i`
-    /// belongs to chunk `i` of `parallel_scratch_chunks`.
+    /// Per-worker bucket sets of the bucketing pass; slot `w` belongs to
+    /// worker `w`'s team task.
     pub(crate) bucket_sets: Vec<Vec<Vec<(VertexId, V)>>>,
     /// Per-owner updated-master lists handed out through `StepOutput` and
     /// returned by `Cluster::recycle_updated`.
@@ -111,6 +112,10 @@ pub(crate) struct StepBuffers<V: VertexData> {
     upd_batches: RoundBatches,
     /// Cross-host batch map of the sync round.
     sync_batches: RoundBatches,
+    /// The persistent worker team every parallel superstep phase runs on.
+    /// It lives here, not in the cluster, so a pooled buffer set carries
+    /// its parked helpers from one serving query to the next.
+    pub(crate) team: Team,
 }
 
 impl<V: VertexData> StepBuffers<V> {
@@ -122,6 +127,7 @@ impl<V: VertexData> StepBuffers<V> {
             host_buf: Vec::new(),
             upd_batches: RoundBatches::new(),
             sync_batches: RoundBatches::new(),
+            team: Team::new(),
         }
     }
 
